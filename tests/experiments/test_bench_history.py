@@ -1,6 +1,8 @@
 """The bench results history and the --compare regression gate."""
 
 import json
+import os
+import shutil
 
 from repro.experiments import bench
 
@@ -105,3 +107,22 @@ def test_seeded_repo_history_is_loadable():
     for _name, payload in entries:
         assert json.dumps(payload)  # JSON-clean
         assert payload["points"] > 0
+
+
+
+
+def test_compare_reads_committed_pr8_entry_with_retired_keys(tmp_path,
+                                                             capsys):
+    # 0003-pr8.json still carries the shard_* keys of the removed shard
+    # benchmark; the append-only history keeps them, and --compare over
+    # the committed entries must neither trip over them nor show them
+    d = str(tmp_path)
+    for name in ("0002-pr6.json", "0003-pr8.json"):
+        shutil.copy(os.path.join(bench.HISTORY_DIR, name), d)
+    _name, pr8 = bench.history_entries(d)[-1]
+    assert "shard_speedup" in pr8
+    assert bench.compare(history_dir=d, tolerance=10.0) == 0
+    out = capsys.readouterr().out
+    assert "0002-pr6.json -> 0003-pr8.json" in out
+    assert "engine_events_per_sec" in out
+    assert "shard" not in out

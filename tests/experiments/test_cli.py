@@ -78,11 +78,6 @@ def test_cli_chaos_writes_log_and_verifies(tmp_path, capsys):
     assert log.startswith("# chaos seed=3 storms=1 quick=1\n")
 
 
-def test_cli_trace_requires_experiment_name(capsys):
-    assert main(["trace"]) == 2
-    assert "usage" in capsys.readouterr().err
-
-
 def test_cli_trace_flag_records_one_experiment_only(capsys):
     assert main(["run", "table1", "extras", "--trace"]) == 2
     assert "one experiment" in capsys.readouterr().err
@@ -92,10 +87,11 @@ def test_cli_trace_fig5_writes_artifacts(tmp_path, capsys):
     import csv
     import json
 
-    assert main(["trace", "fig05", "--quick", "--out", str(tmp_path)]) == 0
+    assert main(["run", "fig05", "--quick", "--trace",
+                 "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     out = captured.out
-    assert "deprecated" in captured.err
+    assert "deprecated" not in captured.err
     assert "perfetto" in out
     assert "dipc.proxy_calls" in out
 
@@ -118,6 +114,21 @@ def test_cli_trace_fig5_writes_artifacts(tmp_path, capsys):
     assert meta["experiment"] == "fig5"
     assert meta["mode"] == "quick"
     assert meta["params"]["traced_runs"] > 0
+
+
+def test_retired_trace_alias_is_an_unknown_experiment(capsys):
+    assert main(["trace", "fig05", "--quick"]) == 2
+    assert "unknown experiment 'trace'" in capsys.readouterr().err
+
+
+def test_shards_flag_is_rejected_not_ignored(capsys):
+    # a stale --shards invocation must fail loudly, never silently run
+    # the single-engine sweep
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "fig10", "--quick", "--shards", "2"])
+    assert excinfo.value.code != 0
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --shards 2" in err
 
 
 def test_cli_run_trace_flag_writes_artifacts(tmp_path, capsys):

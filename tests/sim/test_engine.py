@@ -29,6 +29,20 @@ def test_ties_fire_in_posting_order():
     assert fired == list("abcde")
 
 
+def test_posting_order_alone_breaks_ties():
+    # the tie-break is the posting counter alone: it holds across
+    # post/post_at and for events recycled through the freelist
+    engine = Engine()
+    engine.post_at(1.0, lambda: None)
+    engine.run()
+    fired = []
+    engine.post(4.0, lambda: fired.append("a"))
+    engine.post_at(5.0, lambda: fired.append("b"))
+    engine.post(4.0, lambda: fired.append("c"))
+    engine.run()
+    assert fired == list("abc")
+
+
 def test_clock_advances_to_event_time():
     engine = Engine()
     seen = []

@@ -2,13 +2,15 @@
 
 Every experiment is ultimately a stream of ``Engine`` events, so a
 regression here taxes the whole suite. The floor below is deliberately
-conservative, but ratcheted: the optimized loop sustains ~1.3M
-events/sec on a 1-vCPU container and BENCH_PR6.json recorded ~2.6M on
-an unloaded host, so 500k events/sec leaves 2.6–5x headroom for machine
-noise while still catching a real hot-path regression (e.g.
-reintroducing the tuple build in ``Event.__lt__`` or a per-event
-``step()`` dispatch). The old 150k floor predated the optimized hot
-loop and no longer enforced progress.
+conservative, but ratcheted: 500k events/sec still catches a real
+hot-path regression such as a per-event ``step()`` dispatch. The old
+150k floor predated the optimized hot loop and no longer enforced
+progress.
+
+The ping-pong keeps one event queued at a time, so its heap is one
+deep and never compares two entries: it times post-and-fire overhead,
+not heap ordering. Heap ordering only costs anything on a deep queue,
+which is what the figure workloads in ``hostbench/`` measure.
 """
 
 import time

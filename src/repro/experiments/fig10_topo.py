@@ -122,6 +122,16 @@ def _agg(rows: List[dict], field: str) -> Tuple[float, float]:
     return mean_ci([row[field] for row in rows])
 
 
+def _collapsed(rows: List[dict]) -> str:
+    """Latency text for a cell where no rep completed a request, else
+    "": such a cell has no latency, so it must not print 0.0 us."""
+    if any(row["completed"] for row in rows):
+        return ""
+    shed = sum(row["shed"] for row in rows)
+    failed = sum(row["failed"] for row in rows)
+    return f"collapsed (shed {shed}, failed {failed})"
+
+
 #: pretty names for verdict headlines
 _DISPLAY = {"dipc": "dIPC", "odipc": "odIPC"}
 
@@ -163,13 +173,17 @@ def assemble(specs, results, *, subject: str = "dipc",
                     continue
                 tput, _ = _agg(rows, "throughput_kops")
                 good, _ = _agg(rows, "goodput_ratio")
+                line = (f"{primitive:<10}{kops:>8.0f}{tput:>11.1f}"
+                        f"{good:>8.2f}")
+                collapsed = _collapsed(rows)
+                if collapsed:
+                    lines.append(f"{line}  {collapsed}")
+                    continue
                 p50, p50ci = _agg(rows, "p50_ns")
                 p99, _ = _agg(rows, "p99_ns")
                 p999, _ = _agg(rows, "p999_ns")
                 lines.append(
-                    f"{primitive:<10}{kops:>8.0f}{tput:>11.1f}"
-                    f"{good:>8.2f}"
-                    f"{p50 / 1e3:>8.1f}+-{p50ci / 1e3:<4.1f}"
+                    f"{line}{p50 / 1e3:>8.1f}+-{p50ci / 1e3:<4.1f}"
                     f"{p99 / 1e3:>9.1f}{p999 / 1e3:>10.1f}")
 
     lines += [

@@ -28,7 +28,9 @@ class Charge:
         if ns < 0:
             raise ValueError(f"negative charge: {ns}")
         self.ns = ns
-        self.block = Block(block)
+        # the enum call is skipped on the hot path, where callers
+        # already pass a Block; anything else is still coerced/checked
+        self.block = block if block.__class__ is Block else Block(block)
 
     def __repr__(self) -> str:
         return f"<Charge {self.ns}ns {self.block.name}>"

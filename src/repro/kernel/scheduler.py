@@ -116,7 +116,7 @@ class Scheduler:
         return min(range(len(self.runqueues)), key=load)
 
     def _is_cache_hot(self, thread: Thread) -> bool:
-        last_ran = getattr(thread, "last_ran", None)
+        last_ran = thread.last_ran
         if last_ran is None:
             return False
         return (self.engine.now() - last_ran) < \
@@ -219,7 +219,7 @@ class Scheduler:
             self._do_charge(cpu, thread, ns, block)
             return
         try:
-            if getattr(thread, "killed", False):
+            if thread.killed:
                 effect = thread.gen.throw(
                     _ThreadKilled(f"{thread.name} killed"))
             elif thread.pending_exception is not None:

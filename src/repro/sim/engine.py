@@ -12,35 +12,32 @@ each choice.
 
 Hot-path notes (``benchmarks/test_engine_micro.py`` keeps the floor):
 
-* :meth:`Event.__lt__` compares fields directly instead of building two
-  tuples per heap comparison;
+* the heap holds ``(time, seq, event)`` tuples, so ``heapq`` orders
+  entries by comparing a float and an int in C; ``seq`` is unique, so
+  a comparison never reaches the :class:`Event`, which is only the
+  cancel handle;
 * :meth:`Engine.run` inlines the pop/fire loop (no per-event
   :meth:`step` call) and skips the count-trigger heap peek entirely
   while no triggers are armed;
-* popped events are recycled through a freelist when — and only when —
-  no outside reference to the handle survives (checked via
-  ``sys.getrefcount``), cutting allocator churn in long OLTP runs
-  without ever letting a stale handle cancel a recycled event.
+* every posted event is a fresh :class:`Event`, and a popped one only
+  drops its callback, so a stale handle can never alias a new event.
 """
 
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.trace.tracer import NULL_TRACER
 
-#: recycled-Event pool cap; beyond this, retired events go to the GC
-_FREELIST_MAX = 512
-
 
 class Event:
     """A scheduled callback. Returned by :meth:`Engine.post` for cancelling.
 
-    Heap order is ``(time, seq)``: ``seq`` is the engine-wide posting
-    counter, so same-timestamp events fire in posting order.
+    The engine queues it as ``(time, seq, event)``: ``seq`` is the
+    engine-wide posting counter, so same-timestamp events fire in
+    posting order.
     """
 
     __slots__ = ("time", "seq", "fn", "cancelled", "popped")
@@ -52,13 +49,6 @@ class Event:
         self.cancelled = False
         self.popped = False
 
-    def __lt__(self, other: "Event") -> bool:
-        # heapq calls this O(log n) times per push/pop; comparing fields
-        # directly avoids allocating two tuples per comparison
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.1f} seq={self.seq} {state}>"
@@ -68,7 +58,8 @@ class Engine:
     """Event queue + simulated clock."""
 
     def __init__(self):
-        self._queue: list[Event] = []
+        #: heap of (time, seq, event) entries
+        self._queue: list[tuple[float, int, Event]] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -77,8 +68,6 @@ class Engine:
         self.events_processed = 0
         #: (count, seq, fn) heap fired when events_processed reaches count
         self._count_triggers: list = []
-        #: retired Event objects awaiting reuse (see :meth:`_retire`)
-        self._freelist: list[Event] = []
         #: span/counter recorder; NULL_TRACER unless a TraceSession (or a
         #: caller) installs a live repro.trace.Tracer
         self.tracer = NULL_TRACER
@@ -117,17 +106,10 @@ class Engine:
             raise SimulationError(
                 f"cannot post event at {time_ns} before now ({self._now})"
             )
-        if self._freelist:
-            event = self._freelist.pop()
-            event.time = time_ns
-            event.seq = self._seq
-            event.fn = fn
-            event.cancelled = False
-            event.popped = False
-        else:
-            event = Event(time_ns, self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time_ns, seq, fn)
+        heapq.heappush(self._queue, (time_ns, seq, event))
         return event
 
     def at_event_count(self, count: int, fn: Callable[[], None]) -> None:
@@ -169,28 +151,15 @@ class Engine:
         local alias of the queue list across callbacks, and a callback
         is allowed to cancel enough events to trigger this prune —
         rebinding ``self._queue`` would silently split the two views.
-        Pruned events are not recycled: their handles are typically
-        still referenced by whoever cancelled them.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [entry for entry in self._queue
+                          if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
 
-    def _retire(self, event: Event) -> None:
-        """Drop a popped event; recycle it when provably unreferenced.
-
-        Reusing an Event whose handle somebody still holds would let a
-        stale ``cancel()`` kill an unrelated future event, so an event
-        only enters the freelist when the caller's local variable, this
-        parameter and ``getrefcount``'s own argument are the only
-        references left (CPython refcounting makes that check exact).
-        """
-        event.fn = None
-        if len(self._freelist) < _FREELIST_MAX and getrefcount(event) <= 3:
-            self._freelist.append(event)
-
     def _pop(self) -> Event:
-        event = heapq.heappop(self._queue)
+        """Pop the head entry's event and mark it popped."""
+        event = heapq.heappop(self._queue)[2]
         event.popped = True
         if event.cancelled:
             self._cancelled_in_queue -= 1
@@ -202,13 +171,12 @@ class Engine:
         """Run the next pending event. Returns False if the queue is empty."""
         while self._queue:
             event = self._pop()
+            fn = event.fn
+            event.fn = None
             if event.cancelled:
-                self._retire(event)
                 continue
             self._now = event.time
             self.events_processed += 1
-            fn = event.fn
-            self._retire(event)
             fn()
             while self._count_triggers and \
                     self._count_triggers[0][0] <= self.events_processed:
@@ -245,21 +213,21 @@ class Engine:
             while queue:
                 if max_events is not None and processed >= max_events:
                     break
-                event = queue[0]
+                time_ns, _seq, event = queue[0]
                 if event.cancelled:
                     heappop(queue)
                     event.popped = True
+                    event.fn = None
                     self._cancelled_in_queue -= 1
-                    self._retire(event)
                     continue
-                if until_ns is not None and event.time > until_ns:
+                if until_ns is not None and time_ns > until_ns:
                     break
                 heappop(queue)
                 event.popped = True
-                self._now = event.time
+                self._now = time_ns
                 self.events_processed += 1
                 fn = event.fn
-                self._retire(event)
+                event.fn = None
                 fn()
                 processed += 1
                 if triggers:
@@ -309,39 +277,40 @@ class Engine:
         while queue:
             if max_events is not None and processed >= max_events:
                 break
-            head = queue[0]
+            now_ns, _seq, head = queue[0]
             if head.cancelled:
                 heappop(queue)
                 head.popped = True
+                head.fn = None
                 self._cancelled_in_queue -= 1
-                self._retire(head)
                 continue
-            if until_ns is not None and head.time > until_ns:
+            if until_ns is not None and now_ns > until_ns:
                 break
             # gather every live event at the head timestamp: each is a
             # legal next step under the simulated-time semantics
             batch = [heappop(queue)]
-            now_ns = batch[0].time
-            while queue and queue[0].time == now_ns:
-                event = heappop(queue)
+            while queue and queue[0][0] == now_ns:
+                entry = heappop(queue)
+                event = entry[2]
                 if event.cancelled:
                     event.popped = True
+                    event.fn = None
                     self._cancelled_in_queue -= 1
-                    self._retire(event)
                     continue
-                batch.append(event)
+                batch.append(entry)
             if len(batch) > 1:
                 choice = controller.choose("event", len(batch))
-                event = batch.pop(choice)
+                event = batch.pop(choice)[2]
                 for other in batch:
-                    heappush(queue, other)  # seq preserved: still stable
+                    # the original (time, seq) entry: order stays stable
+                    heappush(queue, other)
             else:
-                event = batch[0]
+                event = batch[0][2]
             event.popped = True
             self._now = now_ns
             self.events_processed += 1
             fn = event.fn
-            self._retire(event)
+            event.fn = None
             fn()
             processed += 1
             while triggers and triggers[0][0] <= self.events_processed:
@@ -359,18 +328,18 @@ class Engine:
     def _next_live_time(self) -> Optional[float]:
         """Timestamp of the earliest non-cancelled queued event.
 
-        Discards cancelled heads through the same ``_pop``/``_retire``
-        path as ``run()``/``step()``, so ``_cancelled_in_queue`` stays
-        exact no matter how often the clamp path re-enters here between
-        cancels and prunes (see
+        Discards cancelled heads through the same ``_pop`` path as
+        ``step()``, so ``_cancelled_in_queue`` stays exact no matter how
+        often the clamp path re-enters here between cancels and prunes
+        (see
         ``tests/sim/test_engine.py::test_clamp_cancel_interleaving``).
         """
         while self._queue:
-            head = self._queue[0]
+            time_ns, _seq, head = self._queue[0]
             if head.cancelled:
-                self._retire(self._pop())
+                self._pop().fn = None
                 continue
-            return head.time
+            return time_ns
         return None
 
     def pending(self) -> int:

@@ -46,7 +46,9 @@ class Breakdown:
     def add(self, block: Block, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"negative charge: {amount}")
-        self.ns[Block(block)] += amount
+        if block.__class__ is not Block:
+            block = Block(block)
+        self.ns[block] += amount
 
     def merge(self, other: "Breakdown") -> None:
         for block, amount in other.ns.items():

@@ -58,3 +58,28 @@ def test_verdict_fails_without_a_deep_scenario():
     report = fig10_topo.assemble(specs,
                                  [execute_spec(s) for s in specs])
     assert "dIPC compounding: FAIL (no scenario of depth >= 8" in report
+
+
+def _synthetic_row(completed, shed=0, failed=0):
+    latency = 5_000.0 if completed else 0.0
+    return {"completed": completed, "shed": shed, "failed": failed,
+            "throughput_kops": 25.0 if completed else 0.0,
+            "goodput_ratio": 1.0 if completed else 0.0,
+            "p50_ns": latency, "p99_ns": latency, "p999_ns": latency}
+
+
+def test_a_cell_where_nothing_completed_prints_collapsed():
+    specs = fig10_topo.points(scenarios=("chain-4",), rungs=(25.0,),
+                              reps=2)
+    rows = [_synthetic_row(0, shed=7, failed=2)
+            if spec.kwargs["primitive"] == "pipe"
+            else _synthetic_row(40) for spec in specs]
+    report = fig10_topo.assemble(specs, rows)
+    pipe_line = next(line for line in report.splitlines()
+                     if line.startswith("pipe "))
+    assert pipe_line.endswith("collapsed (shed 14, failed 4)")
+    assert "0.0+-0.0" not in report
+    dipc_line = next(line for line in report.splitlines()
+                     if line.startswith("dipc "))
+    assert "collapsed" not in dipc_line
+    assert "5.0+-0.0" in dipc_line

@@ -27,6 +27,13 @@ class TestEffectObjects:
         with pytest.raises(ValueError):
             Charge(-1)
 
+    def test_charge_coerces_an_int_block(self):
+        assert Charge(1, 4).block is Block.KERNEL
+
+    def test_charge_rejects_an_unknown_block(self):
+        with pytest.raises(ValueError):
+            Charge(1, 99)
+
     def test_charge_user_generator(self, kernel, proc):
         def body(t):
             yield from charge_user(100)

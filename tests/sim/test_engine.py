@@ -231,10 +231,10 @@ def test_prune_shrinks_internal_queue():
     assert engine.events_processed == 29
 
 
-# -- hot-path hardening: freelist, bookkeeping, clamp interleaving ----------
+# -- hot-path hardening: handles, bookkeeping, clamp interleaving -----------
 
 def _bookkeeping_exact(engine):
-    return sum(1 for e in engine._queue if e.cancelled) \
+    return sum(1 for entry in engine._queue if entry[2].cancelled) \
         == engine._cancelled_in_queue
 
 
@@ -290,29 +290,19 @@ def test_callback_triggered_prune_does_not_stall_run():
     assert _bookkeeping_exact(engine)
 
 
-def test_freelist_recycles_unreferenced_events():
-    engine = Engine()
-    count = 600
-
-    def tick():
-        if engine.events_processed < count:
-            engine.post(1.0, tick)
-
-    engine.post(0.0, tick)
-    engine.run()
-    assert engine.events_processed == count
-    # handles were never kept, so popped events must have been pooled
-    assert engine._freelist
-    from repro.sim.engine import _FREELIST_MAX
-    assert len(engine._freelist) <= _FREELIST_MAX
-
-
 def test_held_handles_are_never_recycled():
     engine = Engine()
     held = [engine.post(i + 1, lambda: None) for i in range(20)]
     engine.run()
-    assert engine._freelist == []          # every handle is still alive
+    assert len({id(e) for e in held}) == len(held)   # distinct objects
     assert all(e.popped for e in held)
+    later = engine.post(1, lambda: None)
+    for event in held:                     # cancelling late is a no-op
+        engine.cancel(event)
+    assert not any(e.cancelled for e in held)
+    assert not later.cancelled
+    assert engine.pending() == 1
+    assert _bookkeeping_exact(engine)
 
 
 def test_stale_cancel_cannot_kill_a_recycled_event():

@@ -30,6 +30,16 @@ class TestBreakdown:
         with pytest.raises(ValueError):
             Breakdown().add(Block.USER, -1)
 
+    def test_int_block_accrues_under_its_enum_member(self):
+        bd = Breakdown()
+        bd.add(4, 1.0)
+        assert bd.ns[Block.KERNEL] == 1.0
+        assert all(type(block) is Block for block in bd.ns)
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ValueError):
+            Breakdown().add(99, 1.0)
+
     def test_merge(self):
         a, b = Breakdown(), Breakdown()
         a.add(Block.USER, 1)

@@ -155,7 +155,7 @@ class Scheduler:
             thread.run_span = tracer.begin(
                 thread.name, "oncpu", track=f"cpu{cpu.index}",
                 args={"tid": thread.tid})
-        self.engine.post(total, lambda: self._advance(cpu, thread))
+        self.engine.post(total, lambda: self._drive(cpu, thread))
 
     def _end_run_span(self, thread: Thread) -> None:
         """Close the thread's on-CPU span when it leaves its CPU."""
@@ -209,15 +209,28 @@ class Scheduler:
                 return best
         return None
 
-    def _advance(self, cpu, thread: Thread) -> None:
-        """Pull and interpret the thread's next effect."""
+    def _drive(self, cpu, thread: Thread) -> None:
+        """Run the thread's next effect; if it was a charge that ran
+        inline, go on as :meth:`_after_charge`."""
+        if self._advance(cpu, thread):
+            self._after_charge(cpu, thread)
+
+    def _advance(self, cpu, thread: Thread) -> bool:
+        """Pull and interpret the thread's next effect.
+
+        Returns True only when that effect was a charge that ran inline
+        (see :meth:`_after_charge`). The loop lives there, not here, so
+        each call resumes the generator at most once: a
+        ``gen.throw`` into a ``yield from`` chain can unbalance
+        cProfile's call stack, and a second resume in the same call
+        would then be credited to the caller.
+        """
         if cpu.current is not thread or thread.state != thread_mod.RUNNING:
-            return  # stale continuation (thread was killed)
+            return False  # stale continuation (thread was killed)
         if thread.pending_charge is not None:
             ns, block = thread.pending_charge
             thread.pending_charge = None
-            self._do_charge(cpu, thread, ns, block)
-            return
+            return self._do_charge(cpu, thread, ns, block)
         try:
             if thread.killed:
                 effect = thread.gen.throw(
@@ -233,16 +246,22 @@ class Scheduler:
         except StopIteration as stop:
             thread.result = stop.value
             self._finish(cpu, thread, None)
-            return
+            return False
         except _ThreadKilled:
             self._finish(cpu, thread, None)
-            return
+            return False
         except BaseException as exc:  # a simulated crash, not a sim bug
             self._finish(cpu, thread, exc)
-            return
+            return False
         if isinstance(effect, Charge):
-            self._do_charge(cpu, thread, effect.ns, effect.block)
-        elif isinstance(effect, BlockThread):
+            return self._do_charge(cpu, thread, effect.ns, effect.block)
+        self._apply_effect(cpu, thread, effect)
+        return False
+
+    def _apply_effect(self, cpu, thread: Thread, effect) -> None:
+        """Interpret a non-:class:`Charge` effect: the thread blocks,
+        hands the CPU off, or yields it."""
+        if isinstance(effect, BlockThread):
             thread.state = thread_mod.BLOCKED
             thread.block_reason = effect.reason
             thread.cpu = None
@@ -273,17 +292,23 @@ class Scheduler:
                 runqueue.append(thread)
                 self._dispatch(cpu)
             else:
-                self.engine.post(0, lambda: self._advance(cpu, thread))
+                self.engine.post(0, lambda: self._drive(cpu, thread))
         else:
             self._finish(cpu, thread, TypeError(
                 f"{thread.name} yielded a non-effect: {effect!r}"))
 
-    def _do_charge(self, cpu, thread: Thread, ns: float, block) -> None:
+    def _do_charge(self, cpu, thread: Thread, ns: float, block) -> bool:
         """Charge CPU time, splitting at the timeslice for preemption.
 
         Time is billed to the thread's *current* process — a thread
         executing inside another process via dIPC donates its slice and
         bills the callee (§5.2.1, §6.1.2).
+
+        Returns True when the charge ran inline (``Engine.advance_inline``
+        already moved the clock past it and the caller goes on with the
+        thread), False when a continuation event was posted. Only
+        :meth:`_advance` calls this, always as its last act at the old
+        ``now``.
         """
         billed = thread.current_process
         if self._jitter_rng is not None and ns > 0:
@@ -297,20 +322,32 @@ class Scheduler:
             thread.slice_used += remaining
             thread.pending_charge = (ns - remaining, block)
             self.engine.post(remaining, lambda: self._preempt(cpu, thread))
-            return
+            return False
         cpu.charge(block, ns)
         billed.cpu_ns += ns
         thread.slice_used += ns
+        if self.engine.advance_inline(ns):
+            return True
         self.engine.post(ns, lambda: self._after_charge(cpu, thread))
+        return False
 
     def _after_charge(self, cpu, thread: Thread) -> None:
-        if cpu.current is not thread or thread.state != thread_mod.RUNNING:
-            return
-        if (thread.slice_used >= self.costs.TIMESLICE
-                and self.runqueues[cpu.index]):
-            self._preempt(cpu, thread)
-        else:
-            self._advance(cpu, thread)
+        """A charge has ended: preempt the thread at the end of its
+        timeslice, else pull its next effect.
+
+        Loops while those effects are charges that run inline, so each
+        pass after the first does exactly the work a posted
+        ``_after_charge`` event would have done. Every caller of this
+        method and of :meth:`_drive` is the tail of an event callback,
+        which is the tail-position rule ``Engine.advance_inline``
+        relies on. A stale continuation (the thread was killed or left
+        the CPU) stops in :meth:`_preempt` or :meth:`_advance`.
+        """
+        while not (thread.slice_used >= self.costs.TIMESLICE
+                   and self.runqueues[cpu.index]):
+            if not self._advance(cpu, thread):
+                return
+        self._preempt(cpu, thread)
 
     def _preempt(self, cpu, thread: Thread) -> None:
         if cpu.current is not thread or thread.state != thread_mod.RUNNING:

@@ -20,7 +20,13 @@ Hot-path notes (``benchmarks/test_engine_micro.py`` keeps the floor):
   :meth:`step` call) and skips the count-trigger heap peek entirely
   while no triggers are armed;
 * every posted event is a fresh :class:`Event`, and a popped one only
-  drops its callback, so a stale handle can never alias a new event.
+  drops its callback, so a stale handle can never alias a new event;
+* :meth:`Engine.advance_inline` lets the scheduler run a thread's
+  back-to-back charges without a post/pop round trip when no other
+  event, count trigger or stop condition could come first. Each inlined
+  step still counts in :attr:`Engine.events_processed`, so the global
+  event index (``at_event`` fault rules, conformance kill-points) is
+  exactly what the posted event would have produced.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ class Engine:
         self._now = 0.0
         self._seq = 0
         self._running = False
+        #: latest time advance_inline() may reach: until_ns (or +inf)
+        #: inside an unbudgeted run(), -inf otherwise
+        self._inline_until = float("-inf")
         #: cancelled events still sitting in the heap (pruned lazily)
         self._cancelled_in_queue = 0
         self.events_processed = 0
@@ -127,6 +136,42 @@ class Engine:
                 f"({self.events_processed} processed)")
         heapq.heappush(self._count_triggers, (count, self._seq, fn))
         self._seq += 1
+
+    def advance_inline(self, ns: float) -> bool:
+        """Run a ``post(ns, ...)`` event in place, if that is exact.
+
+        Moves the clock to ``now + ns`` and counts one processed event,
+        exactly as popping a freshly posted event would, and returns
+        True — the caller then does the event's work itself. Refuses
+        (returns False; the caller posts as usual) unless all hold:
+
+        * no heap entry, live or cancelled, is due at or before
+          ``now + ns`` (an entry at the same time has a lower ``seq``
+          and would fire first);
+        * no count trigger is due at ``events_processed + 1`` or
+          earlier (that includes one still pending for the event now
+          running);
+        * ``now + ns`` is within the running :meth:`run`'s ``until_ns``;
+        * the engine is inside :meth:`run` with ``max_events=None``
+          (:meth:`step` and budgeted runs never inline).
+
+        Tail position only: the caller must have no work left at the
+        old ``now`` once this returns True, because that work would
+        otherwise run after the clock moved.
+        """
+        time_ns = self._now + ns
+        if time_ns > self._inline_until:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= time_ns:
+            return False
+        count = self.events_processed + 1
+        triggers = self._count_triggers
+        if triggers and triggers[0][0] <= count:
+            return False
+        self._now = time_ns
+        self.events_processed = count
+        return True
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event; cancelling twice is harmless.
@@ -200,6 +245,9 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        if max_events is None:
+            self._inline_until = float("inf") if until_ns is None \
+                else until_ns
         try:
             if self.controller is not None:
                 self._run_controlled(until_ns, max_events)
@@ -245,6 +293,7 @@ class Engine:
             self._check_drained()
         finally:
             self._running = False
+            self._inline_until = float("-inf")
 
     def _check_drained(self) -> None:
         """Run the deadlock detector when the queue has fully drained.

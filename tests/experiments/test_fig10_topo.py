@@ -83,3 +83,64 @@ def test_a_cell_where_nothing_completed_prints_collapsed():
                      if line.startswith("dipc "))
     assert "collapsed" not in dipc_line
     assert "5.0+-0.0" in dipc_line
+
+
+def _rows_for(specs, pick):
+    """One synthetic row per spec: ``pick(primitive, rep)`` gives the
+    rep's completion count (0 = collapsed) and latency in ns."""
+    rows = []
+    for spec in specs:
+        completed, latency = pick(spec.kwargs["primitive"],
+                                  spec.kwargs["rep"])
+        row = _synthetic_row(completed, failed=0 if completed else 3)
+        for field in ("p50_ns", "p99_ns", "p999_ns"):
+            row[field] = latency if completed else 0.0
+        rows.append(row)
+    return rows
+
+
+def test_collapsed_reps_stay_out_of_latency_means():
+    # rep 1 of every dipc cell collapsed: its p50 of 0 is not a latency
+    specs = fig10_topo.points(scenarios=("chain-9",), rungs=(25.0,),
+                              reps=2)
+    rows = _rows_for(specs, lambda primitive, rep:
+                     (0, 0.0) if primitive == "dipc" and rep == 1
+                     else (40, 8_000.0 if primitive == "dipc"
+                           else 50_000.0))
+    report = fig10_topo.assemble(specs, rows)
+    dipc_line = next(line for line in report.splitlines()
+                     if line.startswith("dipc "))
+    # the mean is the completed rep's 8.0 us, not (8.0 + 0) / 2
+    assert "     8.0 (1 rep)" in dipc_line
+    assert "+-" not in dipc_line
+    speedup = next(line for line in report.splitlines()
+                   if line.startswith("chain-9 "))
+    assert "8.00 (1 rep)" in speedup
+    assert speedup.endswith("    6.2x (1 rep)")
+    assert "dIPC compounding: PASS (chain-9, depth 8: 6.2x (1 rep) " \
+        in report
+
+
+def test_a_collapsed_subject_prints_collapsed_not_a_zero_speedup():
+    specs = fig10_topo.points(scenarios=("chain-9",), rungs=(25.0,),
+                              reps=2)
+    rows = _rows_for(specs, lambda primitive, rep:
+                     (0, 0.0) if primitive == "dipc" else (40, 50_000.0))
+    report = fig10_topo.assemble(specs, rows)
+    speedup = next(line for line in report.splitlines()
+                   if line.startswith("chain-9 "))
+    assert speedup.endswith("  dipc collapsed (shed 0, failed 6)")
+    assert "0.0x" not in report
+    # no measured speedup at depth >= 8 is no claim at all
+    assert "dIPC compounding: FAIL (no scenario of depth >= 8" in report
+
+
+def test_speedups_pair_only_reps_where_both_sides_completed():
+    base = [_synthetic_row(40), _synthetic_row(0)]
+    subject = [_synthetic_row(40), _synthetic_row(40)]
+    subject[0]["p50_ns"] = 1_000.0
+    assert fig10_topo._speedups(base, subject) == [5.0]
+    assert fig10_topo._speedup_text([5.0]) == "5.0x (1 rep)"
+    assert fig10_topo._speedup_text([5.0, 5.0]) == "5.0x +- 0.0"
+    assert fig10_topo._speedup_text([5.0, 5.0], table=True) \
+        == "    5.0x+-0.0 "

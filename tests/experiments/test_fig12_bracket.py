@@ -50,3 +50,42 @@ def test_assembled_report_has_both_parts_and_verdicts():
     for headline in ("dIPC", "dpti", "odIPC"):
         assert (f"{headline} compounding: FAIL (no scenario of depth "
                 in report)
+
+
+def _synthetic(spec, completed, p50_ns):
+    return {"offered_kops": spec.kwargs["offered_kops"],
+            "completed": completed, "shed": 0,
+            "failed": 0 if completed else 5,
+            "throughput_kops": 1.0, "goodput_ratio": 1.0,
+            "p50_ns": p50_ns if completed else 0.0,
+            "p99_ns": p50_ns if completed else 0.0,
+            "p999_ns": p50_ns if completed else 0.0}
+
+
+def test_part_b_renders_collapsed_cells_and_single_rep_speedups():
+    specs = fig12_bracket.points(rungs=(800.0,), scenarios=("chain-9",),
+                                 reps=2)
+
+    def row(spec):
+        primitive = spec.kwargs["primitive"]
+        if spec.kwargs["part"] == "load":
+            return _synthetic(spec, 10, 5_000.0)
+        if primitive == "dipc":
+            return _synthetic(spec, 0, 0.0)         # collapsed
+        if primitive == "socket" and spec.kwargs["rep"] == 1:
+            return _synthetic(spec, 0, 0.0)         # one rep collapsed
+        return _synthetic(spec, 10, 50_000.0 if primitive == "socket"
+                          else 5_000.0)
+
+    report = fig12_bracket.assemble(specs, [row(s) for s in specs])
+    chain = next(line for line in report.splitlines()
+                 if line.startswith("chain-9 "))
+    # socket's mean is its one completed rep, not (50 + 0) / 2
+    assert "50.0 (1 rep)" in chain
+    assert "collapsed" in chain
+    assert "  chain-9 dipc: collapsed (shed 0, failed 10)" in report
+    # a collapsed subject makes no speedup claim; a one-pair one says so
+    assert "dIPC compounding: FAIL (no scenario of depth >= 8" in report
+    assert "odIPC compounding: PASS (chain-9, depth 8: 10.0x (1 rep) " \
+        in report
+    assert "+- 0.0" not in report

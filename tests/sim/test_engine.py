@@ -335,3 +335,102 @@ def test_recycled_event_reuse_preserves_order_and_identity():
     engine.run()
     assert fired == [("a", i) for i in range(50)] \
         + [("b", i) for i in range(50)]
+
+
+# -- advance_inline: every refusal, and the exact step when it accepts ------
+
+def _inline_from_callback(engine, ns, *, at=10.0, **run_kwargs):
+    """Call ``advance_inline(ns)`` from inside an event at ``at``;
+    returns ``(accepted, now, events_processed)`` seen right after."""
+    seen = []
+
+    def fn():
+        accepted = engine.advance_inline(ns)
+        seen.append((accepted, engine.now(), engine.events_processed))
+
+    engine.post_at(at, fn)
+    engine.run(**run_kwargs)
+    return seen[0]
+
+
+def test_advance_inline_accepts_and_steps_exactly_once():
+    engine = Engine()
+    engine.post_at(100.0, lambda: None)
+    assert _inline_from_callback(engine, 5.0) == (True, 15.0, 2)
+    # the later event still fires, and counts after the inlined one
+    assert engine.events_processed == 3
+    assert engine.now() == 100.0
+
+
+def test_advance_inline_refuses_a_head_at_exactly_now_plus_ns():
+    engine = Engine()
+    engine.post_at(15.0, lambda: None)
+    assert _inline_from_callback(engine, 5.0) == (False, 10.0, 1)
+
+
+def test_advance_inline_refuses_a_cancelled_head_before_now_plus_ns():
+    engine = Engine()
+    engine.cancel(engine.post_at(12.0, lambda: None))
+    assert _inline_from_callback(engine, 5.0) == (False, 10.0, 1)
+
+
+def test_advance_inline_refuses_a_count_trigger_at_the_next_index():
+    engine = Engine()
+    engine.at_event_count(2, lambda: None)
+    assert _inline_from_callback(engine, 5.0) == (False, 10.0, 1)
+
+
+def test_advance_inline_refuses_the_running_event_s_own_trigger():
+    # the trigger for the event now running has not fired yet
+    engine = Engine()
+    engine.at_event_count(1, lambda: None)
+    assert _inline_from_callback(engine, 5.0) == (False, 10.0, 1)
+
+
+def test_advance_inline_accepts_a_later_count_trigger():
+    engine = Engine()
+    fired = []
+    engine.at_event_count(3, lambda: fired.append(engine.events_processed))
+    assert _inline_from_callback(engine, 5.0) == (True, 15.0, 2)
+    assert fired == []
+
+
+def test_advance_inline_refuses_past_until_ns():
+    engine = Engine()
+    assert _inline_from_callback(engine, 5.0, until_ns=14.0) \
+        == (False, 10.0, 1)
+    engine = Engine()
+    assert _inline_from_callback(engine, 5.0, until_ns=15.0) \
+        == (True, 15.0, 2)
+
+
+def test_advance_inline_refuses_in_a_max_events_run():
+    engine = Engine()
+    assert _inline_from_callback(engine, 5.0, max_events=10) \
+        == (False, 10.0, 1)
+
+
+def test_advance_inline_refuses_outside_run_and_under_step():
+    engine = Engine()
+    assert engine.advance_inline(5.0) is False
+    assert (engine.now(), engine.events_processed) == (0.0, 0)
+    seen = []
+    engine.post(1.0, lambda: seen.append(engine.advance_inline(5.0)))
+    assert engine.step()
+    assert seen == [False]
+    assert (engine.now(), engine.events_processed) == (1.0, 1)
+    # a finished run() closes the window again
+    engine.run()
+    assert engine.advance_inline(5.0) is False
+
+
+def test_advance_inline_works_under_a_controller():
+    engine = Engine()
+    engine.controller = _BaselineController()
+    engine.post_at(100.0, lambda: None)
+    assert _inline_from_callback(engine, 5.0) == (True, 15.0, 2)
+
+
+class _BaselineController:
+    def choose(self, kind, n):
+        return 0

@@ -115,9 +115,14 @@ def _php_chunks(txn: Transaction) -> float:
     return txn.php_cpu_ns / (len(txn.queries) + 1)
 
 
-def _db_work(run: _Run, t, query):
-    """The database side of one query: CPU + storage."""
-    yield t.compute(query.db_cpu_ns)
+def _db_work(run: _Run, t, query, *lead_ns: float):
+    """The database side of one query: CPU + storage. ``lead_ns`` are
+    user computations that run straight into the query's CPU, charged
+    with it from one resume."""
+    if lead_ns:
+        yield t.computes(*lead_ns, query.db_cpu_ns)
+    else:
+        yield t.compute(query.db_cpu_ns)
     yield from run.storage.access(t, miss=run.workload.disk_miss(query))
 
 
@@ -150,8 +155,7 @@ def _build_linux(run: _Run):
     def db_worker(t):
         while True:
             request, _ = yield from db_sock.recvfrom(t)
-            yield t.compute(fcgi)
-            yield from _db_work(run, t, request["query"])
+            yield from _db_work(run, t, request["query"], fcgi)
             yield t.compute(fcgi)
             yield from db_sock.sendto(t, request["reply_to"],
                                       request["query"].result_bytes,
@@ -163,16 +167,16 @@ def _build_linux(run: _Run):
         while True:
             request, _ = yield from php_sock.recvfrom(t)
             txn = request["txn"]
-            yield t.compute(fcgi)
             chunk = _php_chunks(txn)
-            yield t.compute(chunk)
+            # FastCGI framing, PHP CPU, then the framing of the next
+            # message out (a query, or the reply when there is none):
+            # each PHP chunk runs straight into the next framing
+            yield t.computes(fcgi, chunk, fcgi)
             for query in txn.queries:
-                yield t.compute(fcgi)
                 yield from reply.sendto(t, db_sock.path, 256, payload={
                     "query": query, "reply_to": reply.path})
                 yield from reply.recvfrom(t)
-                yield t.compute(chunk)
-            yield t.compute(fcgi)
+                yield t.computes(chunk, fcgi)
             yield from reply.sendto(t, request["reply_to"],
                                     txn.response_bytes,
                                     payload={"page": "..."})
@@ -184,14 +188,12 @@ def _build_linux(run: _Run):
             yield from t.sleep(params.client_delay_ns)
             start = t.now()
             txn = run.workload.next_transaction()
-            yield t.compute(txn.apache_cpu_ns * 0.6)
-            yield t.compute(fcgi)
+            yield t.computes(txn.apache_cpu_ns * 0.6, fcgi)
             yield from reply.sendto(t, php_sock.path, txn.request_bytes,
                                     payload={"txn": txn,
                                              "reply_to": reply.path})
             yield from reply.recvfrom(t)
-            yield t.compute(fcgi)
-            yield t.compute(txn.apache_cpu_ns * 0.4)
+            yield t.computes(fcgi, txn.apache_cpu_ns * 0.4)
             run.record(t.now() - start)
 
     for i in range(params.concurrency):
@@ -220,8 +222,7 @@ def _build_dipc(run: _Run):
     # A request runs in place on the Apache worker thread, crossing
     # tiers through proxies whose addresses land in ``addresses`` ---
     def db_query(t, query):
-        result = yield from _db_work(run, t, query)
-        return result
+        return _db_work(run, t, query)     # the sub-generator itself
 
     def php_handle(t, txn):
         chunk = _php_chunks(txn)
@@ -304,15 +305,13 @@ def _build_ideal(run: _Run):
             yield from t.sleep(params.client_delay_ns)
             start = t.now()
             txn = run.workload.next_transaction()
-            yield t.compute(txn.apache_cpu_ns * 0.6)
-            yield t.compute(call)               # apache -> mod_php
             chunk = _php_chunks(txn)
-            yield t.compute(chunk)
+            # apache -> mod_php, then each PHP chunk runs straight into
+            # the next call (php -> libmariadbd) or back into Apache
+            yield t.computes(txn.apache_cpu_ns * 0.6, call)
             for query in txn.queries:
-                yield t.compute(call)           # php -> libmariadbd
-                yield from _db_work(run, t, query)
-                yield t.compute(chunk)
-            yield t.compute(txn.apache_cpu_ns * 0.4)
+                yield from _db_work(run, t, query, chunk, call)
+            yield t.computes(chunk, txn.apache_cpu_ns * 0.4)
             run.record(t.now() - start)
 
     for i in range(params.concurrency):
@@ -348,7 +347,7 @@ def run_oltp(params: OltpParams) -> OltpResult:
     modes = breakdown.by_mode()
     total = sum(modes.values()) or 1.0
     window_min = params.window_ns / units.MINUTE
-    return OltpResult(
+    result = OltpResult(
         config=params.config, storage=params.storage,
         concurrency=params.concurrency, operations=run.operations,
         throughput_ops_min=run.operations / window_min,
@@ -357,6 +356,8 @@ def run_oltp(params: OltpParams) -> OltpResult:
         idle_fraction=modes["idle"] / total,
         kernel_fraction=modes["kernel"] / total,
         user_fraction=modes["user"] / total)
+    run.kernel.release()
+    return result
 
 
 #: measurement windows long enough for several multiples of the highest

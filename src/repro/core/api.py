@@ -265,9 +265,10 @@ class DipcManager:
         return proxy
 
     def call(self, thread, address: int, *args):
-        """Sub-generator: call through a resolved proxy entry address."""
-        proxy = self.resolve(address)
-        return (yield from proxy.call(thread, *args))
+        """Call through a resolved proxy entry address: returns the
+        proxy's call sub-generator (a plain function, so a ``yield
+        from`` chain gets no pass-through frame here)."""
+        return self.resolve(address).call(thread, *args)
 
     # -- fault handling hooks used by Kernel.kill_process (§5.2.1) ---------------------------
 

@@ -26,6 +26,7 @@ from repro.core.kcs import KCSEntry, KernelControlStack
 from repro.core.objects import EntryDescriptor, Signature
 from repro.core.policies import IsolationPolicy
 from repro.core.templates import ProxyTemplate
+from repro.kernel.effects import Charge, Charges
 from repro.sim.stats import Block
 
 _proxy_serial = itertools.count(1)
@@ -88,6 +89,7 @@ class Proxy:
         self.stub_policy = stub_policy
         self.stubs_in_proxy = stubs_in_proxy
         self.calls = 0
+        self._build_charges()
 
     @property
     def cross_process(self) -> bool:
@@ -101,7 +103,6 @@ class Proxy:
 
     def call(self, thread, *args):
         """Sub-generator: a full cross-domain call through this proxy."""
-        costs = self.kernel.costs
         manager = self.manager
         ctx = thread.codoms
         self.calls += 1
@@ -116,8 +117,8 @@ class Proxy:
                       "cross_process": self.cross_process})
 
         # ---- caller-side stub (isolate_call / user code) ----
-        if self.stubs_in_proxy:
-            yield from self._stub_call_charges(thread)
+        if self._stub_call is not None:
+            yield self._stub_call
 
         # ---- architectural transfer into the proxy (P1, P2) ----
         # the CALL-permission + 64-byte-alignment check is what stops a
@@ -125,10 +126,8 @@ class Proxy:
         caller_tag = ctx.current_tag
         caller_priv = ctx.privileged
         manager.access.check_call(ctx, self.entry_address, thread=thread)
-        yield thread.kwork(costs.FUNC_CALL, Block.USER)
-
-        # ---- trusted proxy entry ----
-        yield thread.kwork(costs.PROXY_MIN_CALL, Block.USER)
+        # ---- the call instruction, then the trusted proxy entry ----
+        yield self._entry
         if self.cross_process and not self.callee_process.alive:
             # a call into a killed process fails errno-style at the proxy
             # instead of executing dead code: nothing was pushed yet, so
@@ -170,30 +169,22 @@ class Proxy:
             if self.cross_process:
                 yield from manager.track.track_call(
                     thread, self.callee_process, self.callee_tag)
-                yield thread.kwork(costs.TLS_SWITCH, Block.USER)
-                yield thread.kwork(costs.TRACK_DONATION, Block.USER)
+            # ---- TLS switch, slice donation, callee stack switch ----
+            if self._abroad is not None:
+                yield self._abroad
 
             # ---- proxy-side isolation properties (isolate_pcall) ----
             if self.policy.stack_confidentiality:
-                if self.cross_process:
-                    yield thread.kwork(costs.PROXY_STACK_LOCATE, Block.USER)
-                yield thread.kwork(costs.PROXY_STACK_SWITCH * 5 / 8,
-                                   Block.USER)
                 active_stack = manager.stacks.stack_for(
                     thread, self.callee_process)
-                if self.signature.stack_bytes:
+                if self._stack_args is not None:
                     # copy in-stack arguments to the callee stack
-                    copy_ns = self.kernel.machine.cache.copy_ns(
-                        self.signature.stack_bytes,
-                        startup=costs.MEMCPY_STARTUP)
-                    yield thread.kwork(copy_ns, Block.USER)
+                    yield self._stack_args
             if self.policy.dcs_integrity:
-                yield thread.kwork(costs.PROXY_DCS_ADJUST * 2 / 3,
-                                   Block.USER)
+                yield self._dcs_adjust_in
                 frame.saved_dcs_base = ctx.dcs.set_base(ctx.dcs.top_index())
             if self.policy.dcs_confidentiality:
-                yield thread.kwork(costs.PROXY_DCS_SWITCH * 2.5 / 4.3,
-                                   Block.USER)
+                yield self._dcs_switch_in
                 frame.saved_dcs = ctx.dcs
                 ctx.dcs = manager.dcs_pool.acquire()
 
@@ -223,9 +214,8 @@ class Proxy:
                 raise DipcError(
                     f"stale reply dropped: {frame.unwound_reason} "
                     f"({frame.describe()})")
-            yield thread.kwork(costs.PROXY_MIN_RET, Block.USER)
-            if self.stubs_in_proxy:
-                yield from self._stub_ret_charges(thread)
+            # ---- proxy return, then the caller-side stub ----
+            yield self._return
             if span is not None:
                 tracer.end(span)
             return result
@@ -235,8 +225,7 @@ class Proxy:
             ctx.current_tag = self.proxy_tag
             ctx.privileged = True
             yield from self._unwind_state(thread, frame, ctx, charge=False)
-            yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-            yield thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
+            yield self._kcs_unwind
             manager.faults_unwound += 1
             if span is not None:
                 tracer.count("dipc.kcs_unwinds")
@@ -282,26 +271,26 @@ class Proxy:
         from the fault path, so each one-shot restore (the saved DCS and
         its base) is nulled out once applied.
         """
-        costs = self.kernel.costs
         manager = self.manager
         if self.policy.dcs_confidentiality and frame.saved_dcs is not None:
             if charge:
-                yield thread.kwork(costs.PROXY_DCS_SWITCH * 1.8 / 4.3,
-                                   Block.USER)
+                yield self._dcs_switch_out
             manager.dcs_pool.release(ctx.dcs)
             ctx.dcs = frame.saved_dcs
             frame.saved_dcs = None
         if self.policy.dcs_integrity and frame.saved_dcs_base is not None:
             if charge:
-                yield thread.kwork(costs.PROXY_DCS_ADJUST * 1 / 3,
-                                   Block.USER)
+                yield self._dcs_adjust_out
             ctx.dcs.set_base(frame.saved_dcs_base)
             frame.saved_dcs_base = None
-        if self.policy.stack_confidentiality and charge:
-            yield thread.kwork(costs.PROXY_STACK_SWITCH * 3 / 8, Block.USER)
-        if self.cross_process:
-            if charge:
-                yield thread.kwork(costs.TLS_SWITCH, Block.USER)
+        if charge and self._restore is not None:
+            # caller stack back, TLS back and, cross-process, the
+            # track_process_ret charge: the switch of ``current`` below
+            # is what TrackManager.track_ret does after that charge
+            yield self._restore
+            if self.cross_process:
+                thread.current_process = frame.caller_process
+        elif self.cross_process:
             yield from manager.track.track_ret(thread, frame.caller_process)
         # retire the KCS entry and restore the caller's execution state
         popped_live = self.kcs_of(thread).pop_frame(frame)
@@ -310,21 +299,60 @@ class Proxy:
         ctx.privileged = frame.caller_privileged
         return popped_live
 
-    def _stub_call_charges(self, thread):
-        costs = self.kernel.costs
-        if self.stub_policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_SAVE, Block.USER)
-        if self.stub_policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * 5 / 8, Block.USER)
-        if self.stub_policy.stack_integrity:
-            yield thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
+    def _build_charges(self) -> None:
+        """Build the proxy's fixed cost fragments once.
 
-    def _stub_ret_charges(self, thread):
+        Each straight-line run of the call path — charges with no
+        statement between them that reads or writes simulator state —
+        becomes one :class:`Charges` (None when the policy leaves it
+        empty); a fragment that stands alone stays a :class:`Charge`.
+        """
         costs = self.kernel.costs
-        if self.stub_policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * 3 / 8, Block.USER)
-        if self.stub_policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_RESTORE, Block.USER)
+        stub, policy = self.stub_policy, self.policy
+        cross = self.cross_process
+        user = Block.USER
+
+        def run(*fragments):
+            blocks = [(ns, user) for ns, wanted in fragments if wanted]
+            return Charges(blocks) if blocks else None
+
+        in_stub = self.stubs_in_proxy
+        self._stub_call = run(
+            (costs.STUB_REG_SAVE, in_stub and stub.reg_integrity),
+            (costs.STUB_REG_ZERO * 5 / 8,
+             in_stub and stub.reg_confidentiality),
+            (costs.STUB_STACK_CAPS, in_stub and stub.stack_integrity))
+        self._entry = run((costs.FUNC_CALL, True),
+                          (costs.PROXY_MIN_CALL, True))
+        self._abroad = run(
+            (costs.TLS_SWITCH, cross),
+            (costs.TRACK_DONATION, cross),
+            (costs.PROXY_STACK_LOCATE,
+             cross and policy.stack_confidentiality),
+            (costs.PROXY_STACK_SWITCH * 5 / 8,
+             policy.stack_confidentiality))
+        stack_bytes = self.signature.stack_bytes
+        self._stack_args = Charge(self.kernel.machine.cache.copy_ns(
+            stack_bytes, startup=costs.MEMCPY_STARTUP), user) \
+            if stack_bytes else None
+        self._dcs_adjust_in = Charge(costs.PROXY_DCS_ADJUST * 2 / 3, user)
+        self._dcs_switch_in = Charge(costs.PROXY_DCS_SWITCH * 2.5 / 4.3,
+                                     user)
+        self._dcs_switch_out = Charge(costs.PROXY_DCS_SWITCH * 1.8 / 4.3,
+                                      user)
+        self._dcs_adjust_out = Charge(costs.PROXY_DCS_ADJUST * 1 / 3, user)
+        self._restore = run(
+            (costs.PROXY_STACK_SWITCH * 3 / 8,
+             policy.stack_confidentiality),
+            (costs.TLS_SWITCH, cross),
+            (costs.TRACK_PROCESS_RET, cross))
+        self._return = run(
+            (costs.PROXY_MIN_RET, True),
+            (costs.STUB_REG_ZERO * 3 / 8,
+             in_stub and stub.reg_confidentiality),
+            (costs.STUB_REG_RESTORE, in_stub and stub.reg_integrity))
+        self._kcs_unwind = Charges([(costs.SYSCALL_HW, Block.SYSCALL),
+                                    (costs.KCS_UNWIND_FRAME, Block.KERNEL)])
 
     def __repr__(self) -> str:
         kind = "+proc" if self.cross_process else "local"

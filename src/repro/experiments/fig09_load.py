@@ -117,6 +117,26 @@ def verdict_lines(knee_by: Dict[str, float], *,
 _DISPLAY = {"dipc": "dIPC", "odipc": "odIPC"}
 
 
+#: (field, width) of the latency columns, with and without p95
+TAIL_COLUMNS_P95 = (("p50_ns", 9), ("p95_ns", 9), ("p99_ns", 9),
+                    ("p999_ns", 10))
+TAIL_COLUMNS = (("p50_ns", 9), ("p99_ns", 9), ("p999_ns", 10))
+
+
+def latency_columns(row: dict, columns) -> str:
+    """A point's latency columns in us; for a point that completed no
+    request, fig10's ``collapsed (shed N, failed M)`` text instead of
+    latencies nobody measured."""
+    # imported here: fig10_topo pulls in repro.topo, which building
+    # fig9's points does not otherwise need
+    from repro.experiments.fig10_topo import _collapsed
+    collapsed = _collapsed([row])
+    if collapsed:
+        return f"  {collapsed}"
+    return "".join(f"{row[field] / 1e3:>{width}.1f}"
+                   for field, width in columns)
+
+
 def assemble(specs, results, *, baseline_set=None) -> str:
     # fig9's headline is about *pool* saturation: the baselines are the
     # primitives that drain requests through a worker pool, and every
@@ -150,10 +170,7 @@ def assemble(specs, results, *, baseline_set=None) -> str:
                 f"{row['throughput_kops']:>12.1f}"
                 f"{row['goodput_ratio']:>9.2f}"
                 f"{row['shed']:>7d}"
-                f"{row['p50_ns'] / 1e3:>9.1f}"
-                f"{row['p95_ns'] / 1e3:>9.1f}"
-                f"{row['p99_ns'] / 1e3:>9.1f}"
-                f"{row['p999_ns'] / 1e3:>10.1f}")
+                + latency_columns(row, TAIL_COLUMNS_P95))
 
     knee_by = knees(open_points)
     lines += [
@@ -178,9 +195,7 @@ def assemble(specs, results, *, baseline_set=None) -> str:
             lines.append(
                 f"{primitive:<10}{row['n_clients']:>8d}"
                 f"{row['throughput_kops']:>12.1f}"
-                f"{row['p50_ns'] / 1e3:>9.1f}"
-                f"{row['p99_ns'] / 1e3:>9.1f}"
-                f"{row['p999_ns'] / 1e3:>10.1f}")
+                + latency_columns(row, TAIL_COLUMNS))
     return "\n".join(lines)
 
 

@@ -148,9 +148,7 @@ def assemble(specs, results) -> str:
                 f"{row['throughput_kops']:>12.1f}"
                 f"{row['goodput_ratio']:>9.2f}"
                 f"{row['shed']:>7d}"
-                f"{row['p50_ns'] / 1e3:>9.1f}"
-                f"{row['p99_ns'] / 1e3:>9.1f}"
-                f"{row['p999_ns'] / 1e3:>10.1f}")
+                + fig9.latency_columns(row, fig9.TAIL_COLUMNS))
 
     knee_by = fig9.knees(open_points)
     lines += [

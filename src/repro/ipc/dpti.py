@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro import units
 from repro.errors import PeerResetError
+from repro.kernel.effects import Charges
 from repro.kernel.thread import Thread
 from repro.sim.stats import Block
 
@@ -79,6 +80,14 @@ class DptiEndpoint:
         #: set: unwind order on owner death must be deterministic)
         self._visiting: list = []
         self._kill_hook_installed = False
+        costs = kernel.costs
+        #: the request leg up to the gate check: stub, trap, gate
+        self._gate = Charges([(costs.DPTI_USER_STUB, Block.USER),
+                              (costs.SYSCALL_HW, Block.SYSCALL),
+                              (costs.DPTI_KERNEL_PATH, Block.KERNEL)])
+        #: (size, reply_size) -> the rest of the request leg and the
+        #: whole return leg, see :meth:`_legs`
+        self._leg_cache: dict = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -120,6 +129,27 @@ class DptiEndpoint:
 
     # -- the call ----------------------------------------------------------------
 
+    def _legs(self, size: int, reply_size: int):
+        """The request leg after the gate check (copy-in, tagged
+        switch) and the whole return leg (switch back, reply copy,
+        half-gate, exit), built once per argument and reply size."""
+        legs = self._leg_cache.get((size, reply_size))
+        if legs is None:
+            costs = self.kernel.costs
+            inbound = [(costs.DPTI_SWITCH, Block.PTSW)]
+            if size:
+                inbound.insert(0, (kernel_copy_ns(self.kernel, size),
+                                   Block.KERNEL))
+            outbound = [(costs.DPTI_SWITCH, Block.PTSW)]
+            if reply_size:
+                outbound.append((kernel_copy_ns(self.kernel, reply_size),
+                                 Block.KERNEL))
+            outbound += [(0.5 * costs.DPTI_KERNEL_PATH, Block.KERNEL),
+                         (costs.SYSCALL_HW, Block.SYSCALL)]
+            legs = self._leg_cache[(size, reply_size)] = (
+                Charges(inbound), Charges(outbound))
+        return legs
+
     def call(self, thread: Thread, payload=None, *,
              size: int = 0, reply_size: int = 0):
         """Sub-generator: one domain call round trip.
@@ -127,22 +157,17 @@ class DptiEndpoint:
         ``size`` / ``reply_size`` bytes are copied by the kernel gate
         in each direction (DPTI has no capability passing).
         """
-        costs = self.kernel.costs
         tracer = self.kernel.tracer
         span = tracer.begin("dpti.call", "ipc", thread=thread) \
             if tracer.enabled else None
-        # request leg: stub, trap, gate, tagged switch
-        yield thread.kwork(costs.DPTI_USER_STUB, Block.USER)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield thread.kwork(costs.DPTI_KERNEL_PATH, Block.KERNEL)
+        inbound, outbound = self._legs(size, reply_size)
+        # request leg: stub, trap, gate, then copy-in and tagged switch
+        yield self._gate
         if self.hung_up or self._owner is None or not self._owner.alive:
             if span is not None:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner is dead")
-        if size:
-            yield thread.kwork(kernel_copy_ns(self.kernel, size),
-                               Block.KERNEL)
-        yield thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
+        yield inbound
         self.calls += 1
         self._visiting.append(thread)
         try:
@@ -162,12 +187,7 @@ class DptiEndpoint:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner died mid-call")
         # return leg: tagged switch back, reply copy, half-gate, exit
-        yield thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
-        if reply_size:
-            yield thread.kwork(kernel_copy_ns(self.kernel, reply_size),
-                               Block.KERNEL)
-        yield thread.kwork(0.5 * costs.DPTI_KERNEL_PATH, Block.KERNEL)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+        yield outbound
         if span is not None:
             tracer.end(span)
         return reply

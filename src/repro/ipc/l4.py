@@ -14,7 +14,7 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.errors import KernelError, PeerResetError
-from repro.kernel.effects import Handoff
+from repro.kernel.effects import Charges, Handoff
 from repro.kernel.thread import Thread
 from repro.sim.stats import Block
 
@@ -27,6 +27,11 @@ class L4Endpoint:
 
     def __init__(self, kernel):
         self.kernel = kernel
+        costs = kernel.costs
+        #: every IPC operation's entry: user stub, trap, kernel fast path
+        self._entry = Charges([(costs.L4_USER_STUB, Block.USER),
+                               (costs.SYSCALL_HW, Block.SYSCALL),
+                               (costs.L4_KERNEL_PATH, Block.KERNEL)])
         self._server: Optional[Thread] = None
         self._pending: Deque[Tuple[Thread, object]] = deque()
         self.calls = 0
@@ -68,12 +73,6 @@ class L4Endpoint:
 
     # -- cost fragments ---------------------------------------------------------
 
-    def _entry(self, thread: Thread):
-        costs = self.kernel.costs
-        yield thread.kwork(costs.L4_USER_STUB, Block.USER)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield thread.kwork(costs.L4_KERNEL_PATH, Block.KERNEL)
-
     def _switch_cost(self, thread: Thread):
         costs = self.kernel.costs
         yield thread.kwork(costs.L4_DIRECT_SWITCH, Block.SCHED)
@@ -87,7 +86,7 @@ class L4Endpoint:
         tracer = self.kernel.tracer
         span = tracer.begin("l4.call", "ipc", thread=thread) \
             if tracer.enabled else None
-        yield from self._entry(thread)
+        yield self._entry
         if self.hung_up:
             if span is not None:
                 tracer.end(span, args={"fault": "hangup"})
@@ -141,7 +140,7 @@ class L4Endpoint:
 
     def wait(self, thread: Thread):
         """Sub-generator: l4_ipc_wait — returns (caller, message)."""
-        yield from self._entry(thread)
+        yield self._entry
         if self._pending:
             return self._take_pending()
         if self._server is not None:
@@ -187,7 +186,7 @@ class L4Endpoint:
 
     def reply_and_wait(self, thread: Thread, caller: Thread, reply=None):
         """Sub-generator: l4_ipc_reply_and_wait — the server fast path."""
-        yield from self._entry(thread)
+        yield self._entry
         stale = self._abandoned(caller)
         if self._pending:
             # someone is already queued: wake the old caller normally and
@@ -205,7 +204,7 @@ class L4Endpoint:
 
     def reply(self, thread: Thread, caller: Thread, reply=None):
         """Sub-generator: plain reply, server does not re-wait."""
-        yield from self._entry(thread)
+        yield self._entry
         if self._abandoned(caller):
             return
         if self._same_cpu(thread, caller) and caller.state == "blocked":

@@ -117,8 +117,7 @@ class Pipe:
         span = tracer.begin("pipe.write", "ipc", thread=thread,
                             args={"size": size}) \
             if tracer.enabled else None
-        yield from thread.syscall(0)
-        yield thread.kwork(costs.PIPE_WRITE_WORK, Block.KERNEL)
+        yield self.kernel.syscall_charges(costs.PIPE_WRITE_WORK)
         if self.reader_gone:
             if span is not None:
                 tracer.end(span, args={"fault": "EPIPE"})
@@ -162,8 +161,7 @@ class Pipe:
         tracer = self.kernel.tracer
         span = tracer.begin("pipe.read", "ipc", thread=thread) \
             if tracer.enabled else None
-        yield from thread.syscall(0)
-        yield thread.kwork(costs.PIPE_READ_WORK, Block.KERNEL)
+        yield self.kernel.syscall_charges(costs.PIPE_READ_WORK)
         while not self._messages:
             if self.closed or self.writer_gone:
                 if span is not None:

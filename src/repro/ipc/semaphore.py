@@ -13,15 +13,19 @@ class Semaphore:
         self.kernel = kernel
         self._futex = Futex(kernel, value)
 
+    # post and wait return the futex sub-generator itself, so a ``yield
+    # from`` chain gets no pass-through frame for them
+
     def post(self, thread: Thread):
-        """Sub-generator: sem_post. glibc's fast path is a user-space
-        atomic, but with a waiter present it always enters FUTEX_WAKE —
-        the synchronous ping-pong of the benchmarks is all slow path."""
-        yield from self._futex.wake(thread)
+        """sem_post, as a sub-generator. glibc's fast path is a
+        user-space atomic, but with a waiter present it always enters
+        FUTEX_WAKE — the synchronous ping-pong of the benchmarks is all
+        slow path."""
+        return self._futex.wake(thread)
 
     def wait(self, thread: Thread):
-        """Sub-generator: sem_wait (FUTEX_WAIT slow path)."""
-        yield from self._futex.wait(thread)
+        """sem_wait (FUTEX_WAIT slow path), as a sub-generator."""
+        return self._futex.wait(thread)
 
     @property
     def value(self) -> int:

@@ -98,8 +98,7 @@ class UnixSocket:
         """Sub-generator: sendto(2). Fails if the peer buffer is full
         (datagram semantics: no blocking on send)."""
         costs = self.kernel.costs
-        yield from thread.syscall(0)
-        yield thread.kwork(costs.SOCK_SEND_WORK, Block.KERNEL)
+        yield self.kernel.syscall_charges(costs.SOCK_SEND_WORK)
         peer = self.namespace.lookup(path)
         if peer is not None and peer.reset:
             raise PeerResetError(
@@ -128,8 +127,7 @@ class UnixSocket:
         waking it, so a timed-out receiver never eats a later wake.
         """
         costs = self.kernel.costs
-        yield from thread.syscall(0)
-        yield thread.kwork(costs.SOCK_RECV_WORK, Block.KERNEL)
+        yield self.kernel.syscall_charges(costs.SOCK_RECV_WORK)
         timer = None
         expired = [False]
         if timeout_ns is not None:

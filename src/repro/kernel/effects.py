@@ -5,6 +5,7 @@ scheduler interprets them, advances simulated time on the thread's CPU,
 and resumes the generator with a value when appropriate:
 
 * :class:`Charge` — consume CPU time, attributed to a Figure-2 block;
+* :class:`Charges` — several charges back to back, from one resume;
 * :class:`BlockThread` — deschedule until someone calls ``thread.wake``;
   the value passed to ``wake`` becomes the result of the ``yield``;
 * :class:`YieldCPU` — voluntarily move to the back of the runqueue.
@@ -12,6 +13,20 @@ and resumes the generator with a value when appropriate:
 Composite operations (system calls, IPC primitives, dIPC proxies) are
 sub-generators used with ``yield from``, so a blocking semaphore wait is
 written exactly like straight-line code.
+
+The paper's fast paths are fixed sequences of small cost fragments
+(Figure 2's syscall, trampoline and kernel blocks; the proxy steps of
+§6.1 and Figure 5). Where such a sequence runs straight through — no
+statement between two of its charges reads or writes simulator state —
+the body yields it as one :class:`Charges`, built once where its costs
+are fixed. The scheduler still charges each block separately (one
+``Scheduler._do_charge`` call and one engine event per block), so the
+event stream is the same as yielding the blocks one by one; only the
+generator resumes between them go. A kill or an injected exception
+that would have landed between two blocks drops the rest of the run
+and is thrown at the ``yield`` of the :class:`Charges` — the same
+statement, since nothing ran in between (DESIGN §8, "Composite
+charges").
 """
 
 from __future__ import annotations
@@ -34,6 +49,32 @@ class Charge:
 
     def __repr__(self) -> str:
         return f"<Charge {self.ns}ns {self.block.name}>"
+
+
+class Charges(tuple):
+    """Charge several Figure-2 blocks back to back from one resume: a
+    tuple of ``(ns, Block)`` pairs, validated once on construction.
+
+    Build it once where the costs are fixed (per proxy, per kernel and
+    syscall work value) and yield the same object on every call.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pairs):
+        checked = []
+        for ns, block in pairs:
+            if ns < 0:
+                raise ValueError(f"negative charge: {ns}")
+            checked.append((ns, block if block.__class__ is Block
+                            else Block(block)))
+        if not checked:
+            raise ValueError("a Charges run needs at least one block")
+        return super().__new__(cls, checked)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{ns}ns {block.name}" for ns, block in self)
+        return f"<Charges {inner}>"
 
 
 class BlockThread:

@@ -32,8 +32,7 @@ class Futex:
         span = tracer.begin("futex.wait", "ipc", thread=thread) \
             if tracer.enabled else None
         while True:
-            yield from thread.syscall(0)
-            yield thread.kwork(costs.FUTEX_WAIT_WORK, Block.KERNEL)
+            yield self.kernel.syscall_charges(costs.FUTEX_WAIT_WORK)
             self.wait_count += 1
             if self.value > 0:
                 self.value -= 1
@@ -56,8 +55,7 @@ class Futex:
         tracer = self.kernel.tracer
         span = tracer.begin("futex.wake", "ipc", thread=thread) \
             if tracer.enabled else None
-        yield from thread.syscall(0)
-        yield thread.kwork(costs.FUTEX_WAKE_WORK, Block.KERNEL)
+        yield self.kernel.syscall_charges(costs.FUTEX_WAKE_WORK)
         self.value += count
         self.wake_count += 1
         woken = 0

@@ -20,14 +20,16 @@ from repro.check.session import CheckSession
 from repro.errors import DeadProcessError
 from repro.fault.session import ChaosSession
 from repro.hw.machine import Machine
+from repro.kernel.effects import Charges
 from repro.kernel.libraries import LibraryRegistry
 from repro.kernel.process import Process
 from repro.kernel.scheduler import Scheduler
-from repro.kernel.thread import Thread
+from repro.kernel.thread import DONE, Thread
 from repro.mem.addrspace import AddressSpace
 from repro.mem.gvas import GlobalVAS
 from repro.mem.pagetable import PageTable
 from repro.mem.phys import PhysicalMemory
+from repro.sim.stats import Block
 from repro.trace.tracer import TraceSession
 
 
@@ -39,6 +41,10 @@ class Kernel:
         self.machine = machine if machine is not None else Machine(num_cpus)
         self.costs = self.machine.costs
         self.engine = self.machine.engine
+        #: a chaos or check session keeps this kernel for a post-run
+        #: audit (see :meth:`release`)
+        self.audited = (ChaosSession.current() is not None
+                        or CheckSession.current() is not None)
         # inside an active TraceSession, every kernel records spans
         TraceSession.maybe_attach(self)
         # inside an active ChaosSession, every kernel gets a fault storm
@@ -71,6 +77,8 @@ class Kernel:
         self.dipc = None
         #: shared libraries with per-process virtual copies (§6.1.3)
         self.libraries = LibraryRegistry(self)
+        #: syscall paths as composite charges, one per work value
+        self._syscall_charges = {}
 
     @property
     def tracer(self):
@@ -222,13 +230,50 @@ class Kernel:
     def run_all(self) -> None:
         self.run()
 
+    def release(self) -> None:
+        """The driver has built its result: unwind every unfinished
+        thread's generator now, in creation order — unless a session
+        audits this kernel later (it kills and drains it first).
+
+        Threads still suspended when the run stops keep their
+        generators, which sit in reference cycles with the kernel; the
+        cyclic garbage collector would finalize them at some later
+        point, during whatever runs next, and their ``finally`` and
+        ``except BaseException`` handlers would then post and cancel
+        events on this finished engine from inside another run. Here
+        those handlers run at a fixed point, through the same unwind as
+        :meth:`Scheduler.cancel`. No exit callbacks fire and no crash is
+        recorded: the run is over.
+        """
+        if self.audited:
+            return
+        for process in self.processes:
+            for thread in process.threads:
+                if thread.state != DONE:
+                    self.scheduler.unwind(thread)
+
     def check(self) -> None:
         """Raise the first unobserved simulated-thread crash, if any."""
         for thread in self.crashed_threads:
             if thread.exception is not None:
                 raise thread.exception
 
-    # -- small syscall used by the micro-benchmarks --------------------------------------------
+    # -- the syscall path ------------------------------------------------------------------------
+
+    def syscall_charges(self, work_ns: Optional[float]) -> Charges:
+        """Figure 2's syscall path as one composite charge: block 2
+        (syscall + 2×swapgs + sysret), block 3 (dispatch trampoline)
+        and, unless ``work_ns`` is None, ``work_ns`` of block 4. Built
+        once per kernel and work value."""
+        charges = self._syscall_charges.get(work_ns)
+        if charges is None:
+            costs = self.costs
+            blocks = [(costs.SYSCALL_HW, Block.SYSCALL),
+                      (costs.SYSCALL_TRAMPOLINE, Block.TRAMPOLINE)]
+            if work_ns is not None:
+                blocks.append((work_ns, Block.KERNEL))
+            charges = self._syscall_charges[work_ns] = Charges(blocks)
+        return charges
 
     def syscall_nop(self, thread: Thread):
         """Sub-generator: an empty system call (getpid-style, ~34 ns)."""

@@ -23,7 +23,8 @@ from collections import deque
 from typing import List, Optional, Set
 
 from repro.errors import SimulationError
-from repro.kernel.effects import BlockThread, Charge, Handoff, YieldCPU
+from repro.kernel.effects import (BlockThread, Charge, Charges, Handoff,
+                                  YieldCPU)
 from repro.kernel import thread as thread_mod
 from repro.kernel.thread import Thread
 from repro.sim.stats import Block
@@ -216,7 +217,9 @@ class Scheduler:
             self._after_charge(cpu, thread)
 
     def _advance(self, cpu, thread: Thread) -> bool:
-        """Pull and interpret the thread's next effect.
+        """Pull and interpret the thread's next effect: a timeslice-split
+        remainder, the next block of a :class:`Charges` run, or what
+        the generator yields next.
 
         Returns True only when that effect was a charge that ran inline
         (see :meth:`_after_charge`). The loop lives there, not here, so
@@ -231,6 +234,16 @@ class Scheduler:
             ns, block = thread.pending_charge
             thread.pending_charge = None
             return self._do_charge(cpu, thread, ns, block)
+        queued = thread.queued_charges
+        if queued is not None:
+            # the next block of a Charges run, unless a kill or an
+            # injected exception is due: that lands here, where the
+            # generator would have been resumed, and drops the rest
+            if not thread.killed and thread.pending_exception is None:
+                step = next(queued, None)
+                if step is not None:
+                    return self._do_charge(cpu, thread, step[0], step[1])
+            thread.queued_charges = None
         try:
             if thread.killed:
                 effect = thread.gen.throw(
@@ -255,6 +268,11 @@ class Scheduler:
             return False
         if isinstance(effect, Charge):
             return self._do_charge(cpu, thread, effect.ns, effect.block)
+        if isinstance(effect, Charges):
+            queued = iter(effect)
+            thread.queued_charges = queued
+            ns, block = next(queued)
+            return self._do_charge(cpu, thread, ns, block)
         self._apply_effect(cpu, thread, effect)
         return False
 
@@ -315,15 +333,16 @@ class Scheduler:
             ns *= 1.0 + self._jitter_rng.uniform(-self.costs.JITTER,
                                                  self.costs.JITTER)
         remaining = self.costs.TIMESLICE - thread.slice_used
-        contended = bool(self.runqueues[cpu.index])
-        if contended and 0 < remaining < ns:
-            cpu.charge(block, remaining)
+        # ``block`` is a Block and ``ns`` non-negative: Charge and
+        # Charges validated them, so the account is added to directly
+        if 0 < remaining < ns and self.runqueues[cpu.index]:
+            cpu.account.ns[block] += remaining
             billed.cpu_ns += remaining
             thread.slice_used += remaining
             thread.pending_charge = (ns - remaining, block)
             self.engine.post(remaining, lambda: self._preempt(cpu, thread))
             return False
-        cpu.charge(block, ns)
+        cpu.account.ns[block] += ns
         billed.cpu_ns += ns
         thread.slice_used += ns
         if self.engine.advance_inline(ns):
@@ -343,8 +362,9 @@ class Scheduler:
         relies on. A stale continuation (the thread was killed or left
         the CPU) stops in :meth:`_preempt` or :meth:`_advance`.
         """
-        while not (thread.slice_used >= self.costs.TIMESLICE
-                   and self.runqueues[cpu.index]):
+        timeslice = self.costs.TIMESLICE
+        runqueue = self.runqueues[cpu.index]
+        while not (thread.slice_used >= timeslice and runqueue):
             if not self._advance(cpu, thread):
                 return
         self._preempt(cpu, thread)
@@ -388,23 +408,35 @@ class Scheduler:
                 except ValueError:
                     continue
                 break
-        thread.killed = True
         # unwind the suspended generator so its cleanup handlers run
         # (cancelling posted timers, releasing wait-queue slots): a
         # thread abandoned mid-block must not leak pending events
+        crash = self.unwind(thread)
+        if crash is not None:
+            thread.exception = crash
+            self.kernel.crashed_threads.append(thread)
+        thread._notify_exit()
+
+    @staticmethod
+    def unwind(thread: Thread) -> Optional[BaseException]:
+        """Throw a kill into the thread's suspended generator so its
+        cleanup handlers run, then mark the thread done. Returns what a
+        handler raised instead, if anything. A body that swallows the
+        kill and yields another effect is closed: the effect is dropped,
+        the thread is dead regardless."""
+        thread.killed = True
+        thread.queued_charges = None
+        crash = None
         try:
             thread.gen.throw(_ThreadKilled(f"{thread.name} killed"))
         except (StopIteration, _ThreadKilled):
             pass
         except BaseException as exc:  # noqa: BLE001 — a crash in cleanup
-            thread.exception = exc
-            self.kernel.crashed_threads.append(thread)
+            crash = exc
         else:
-            # the body swallowed the kill and yielded another effect;
-            # drop it — the thread is dead regardless
             thread.gen.close()
         thread.state = thread_mod.DONE
-        thread._notify_exit()
+        return crash
 
 
 class _ThreadKilled(BaseException):

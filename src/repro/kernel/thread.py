@@ -14,7 +14,7 @@ from typing import Callable, Generator, List, Optional
 
 from repro.codoms.access import CodomsContext
 from repro.errors import SimulationError
-from repro.kernel.effects import BlockThread, Charge, YieldCPU
+from repro.kernel.effects import BlockThread, Charge, Charges, YieldCPU
 from repro.sim.stats import Block
 
 _tid_counter = itertools.count(1)
@@ -53,6 +53,9 @@ class Thread:
         self.next_send_value = None
         #: remainder of a Charge split at a preemption boundary
         self.pending_charge = None
+        #: iterator over the blocks still to charge of the Charges run
+        #: being executed (None when there is none)
+        self.queued_charges = None
         self.slice_used = 0.0
         #: per-thread CODOMs architectural state
         self.codoms = CodomsContext(tag=process.default_tag)
@@ -87,6 +90,10 @@ class Thread:
         """User-mode computation (block 1)."""
         return Charge(ns, Block.USER)
 
+    def computes(self, *ns: float) -> Charges:
+        """Back-to-back user-mode computations (block 1), one resume."""
+        return Charges([(amount, Block.USER) for amount in ns])
+
     def kwork(self, ns: float, block: Block = Block.KERNEL) -> Charge:
         """Kernel/privileged-mode computation."""
         return Charge(ns, block)
@@ -101,13 +108,10 @@ class Thread:
         """Sub-generator: the full syscall path of Figure 2.
 
         Charges block 2 (syscall + 2×swapgs + sysret), block 3 (dispatch
-        trampoline) and ``work_ns`` of block 4.
+        trampoline) and ``work_ns`` of block 4, as one
+        :class:`~repro.kernel.effects.Charges`.
         """
-        costs = self.kernel.costs
-        yield Charge(costs.SYSCALL_HW, Block.SYSCALL)
-        yield Charge(costs.SYSCALL_TRAMPOLINE, Block.TRAMPOLINE)
-        if work_ns > 0:
-            yield Charge(work_ns, Block.KERNEL)
+        yield self.kernel.syscall_charges(work_ns if work_ns > 0 else None)
 
     def sleep(self, ns: float):
         """Sub-generator: block for ``ns`` of simulated time."""

@@ -350,7 +350,7 @@ def run_load_point(params: LoadParams, *,
     else:
         peak_backlog, backlog_at_end = (gate.peak_in_flight,
                                         gate.in_flight)
-    return LoadResult(
+    result = LoadResult(
         primitive=params.primitive, mode=params.mode,
         policy=params.policy, offered_kops=params.offered_kops,
         n_clients=params.n_clients,
@@ -374,3 +374,6 @@ def run_load_point(params: LoadParams, *,
                                for b in transport.breakers),
         reclamation_violations=(len(supervisor.audit_violations)
                                 if supervisor is not None else 0))
+    if keep_kernel is None:
+        kernel.release()
+    return result

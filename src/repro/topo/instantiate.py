@@ -533,8 +533,7 @@ class TopoTransport(Transport):
         process = self.procs[node_id]
 
         def visit(t, payload, node_id=node_id):
-            yield from self.serve(t, node_id, payload)
-            return "ok"
+            return self.serve(t, node_id, payload)
 
         self.entries[node_id] = manager.entry_register(
             process, manager.dom_default(process),
@@ -565,28 +564,32 @@ class TopoTransport(Transport):
     # -- the service body ---------------------------------------------------
 
     def serve(self, t, node_id: int, payload):
-        """Burn the node's CPU, then visit its children."""
-        if _probe is not None:
-            _probe(f"serve:{node_id}:enter")
-            try:
-                yield from self._serve_body(t, node_id, payload)
-            finally:
-                _probe(f"serve:{node_id}:exit")
-            return
-        yield from self._serve_body(t, node_id, payload)
+        """Burn the node's CPU, then visit its children: returns the
+        service sub-generator, whose result is ``"ok"`` (the reply of a
+        dIPC ``visit`` entry). A plain function, like :meth:`call`, so
+        an unprobed ``yield from`` chain gets no pass-through frame."""
+        if _probe is None:
+            return self._serve_body(t, node_id, payload)
+        return self._probed_serve(t, node_id, payload)
+
+    def _probed_serve(self, t, node_id: int, payload):
+        _probe(f"serve:{node_id}:enter")
+        try:
+            return (yield from self._serve_body(t, node_id, payload))
+        finally:
+            _probe(f"serve:{node_id}:exit")
 
     def _serve_body(self, t, node_id: int, payload):
         node = self._nodes[node_id]
         if node.work_ns:
             yield t.compute(node.work_ns)
         children = self._children[node_id]
-        if not children:
-            return
         if node.mode == "par" and len(children) > 1:
             yield from self._visit_par(t, node_id, children, payload)
         else:
             for child in children:
                 yield from self.hops[(node_id, child)].call(t, payload)
+        return "ok"
 
     def _visit_par(self, t, node_id: int, children, payload):
         """Scatter-gather: one helper thread per child, joined through

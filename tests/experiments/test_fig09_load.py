@@ -50,3 +50,31 @@ def test_knees_pick_highest_goodput_rung():
     knees = fig09_load.knees(rows)
     assert knees["pipe"] == 800.0
     assert knees["dipc"] == 0.0  # overloaded even at the lowest rung
+
+
+def _synthetic_row(spec, completed):
+    latency = 5_000.0 if completed else 0.0
+    return {"offered_kops": spec.kwargs.get("offered_kops", 0.0),
+            "n_clients": spec.kwargs.get("n_clients", 0),
+            "completed": completed, "shed": 0 if completed else 9,
+            "failed": 0 if completed else 2,
+            "throughput_kops": 25.0 if completed else 0.0,
+            "goodput_ratio": 1.0 if completed else 0.0,
+            "p50_ns": latency, "p95_ns": latency, "p99_ns": latency,
+            "p999_ns": latency}
+
+
+def test_a_point_that_completed_nothing_prints_collapsed():
+    specs = _cheap_specs()
+    rows = [_synthetic_row(spec, 0 if spec.kwargs["primitive"] == "pipe"
+                           else 40) for spec in specs]
+    report = fig09_load.assemble(specs, rows)
+    lines = report.splitlines()
+    start = lines.index(next(line for line in lines
+                             if line.startswith("-- pipe ")))
+    open_rows = lines[start + 2:start + 5]
+    closed_row = next(line for line in lines if line.startswith("pipe "))
+    for line in open_rows + [closed_row]:
+        assert line.endswith("  collapsed (shed 9, failed 2)"), line
+    dipc_row = next(line for line in lines if line.startswith("dipc "))
+    assert dipc_row.endswith("5.0      5.0       5.0")

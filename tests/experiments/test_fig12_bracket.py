@@ -89,3 +89,24 @@ def test_part_b_renders_collapsed_cells_and_single_rep_speedups():
     assert "odIPC compounding: PASS (chain-9, depth 8: 10.0x (1 rep) " \
         in report
     assert "+- 0.0" not in report
+
+
+def test_part_a_prints_collapsed_for_a_point_that_completed_nothing():
+    specs = fig12_bracket.points(rungs=(800.0,), scenarios=("chain-9",),
+                                 reps=2)
+
+    def row(spec):
+        if spec.kwargs["part"] == "load" \
+                and spec.kwargs["primitive"] == "dpti":
+            return _synthetic(spec, 0, 0.0)
+        return _synthetic(spec, 10, 5_000.0)
+
+    report = fig12_bracket.assemble(specs, [row(s) for s in specs])
+    lines = report.splitlines()
+    start = lines.index(next(line for line in lines
+                             if line.startswith("-- dpti ")))
+    assert lines[start + 2].endswith("  collapsed (shed 0, failed 5)")
+    assert "     0.0" not in lines[start + 2]
+    dipc = lines.index(next(line for line in lines
+                            if line.startswith("-- dipc ")))
+    assert lines[dipc + 2].endswith("      5.0      5.0       5.0")

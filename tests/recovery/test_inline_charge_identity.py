@@ -9,6 +9,11 @@ conformance kill cell (probe run, then kills armed at probed event
 indices). Each runs with inlining on and with ``advance_inline``
 patched to refuse every charge; the injection log and the result must
 be byte-identical.
+
+The same two workloads pin composite charges: run once as is and once
+with every :class:`~repro.kernel.effects.Charges` run yielded as
+separate charges (the ``separate_charges`` fixture), the injection log
+and the result must again be byte-identical.
 """
 
 import json
@@ -46,30 +51,56 @@ def _both_ways(monkeypatch, run):
     return inlined, posted
 
 
-def test_fig10_chaos_point_is_byte_identical(monkeypatch):
+def _fig10_chaos_point():
     spec = next(s for s in fig10_topo.points(
         **fig10_topo.Fig10Driver.cli_params(True))
         if (s.kwargs["scenario"], s.kwargs["primitive"],
             s.kwargs["offered_kops"], s.kwargs["rep"])
         == ("chain-4", "dipc", 25.0, 0))
+    # seed 10 fires both a grant revocation and a kill at this point
+    with ChaosSession(seed=10):
+        return fig10_topo.compute_point(**dict(spec.kwargs))
 
-    def run():
-        # seed 10 fires both a grant revocation and a kill at this point
-        with ChaosSession(seed=10):
-            return fig10_topo.compute_point(**dict(spec.kwargs))
 
-    inlined, posted = _both_ways(monkeypatch, run)
+def _conformance_kill_cell():
+    return conformance.run_cell(phase="midcallee", primitive="dipc",
+                                pattern="chain", seed=0)
+
+
+def test_fig10_chaos_point_is_byte_identical(monkeypatch):
+    inlined, posted = _both_ways(monkeypatch, _fig10_chaos_point)
     assert "revoke_grant" in inlined[1] and "kill_process" in inlined[1]
     assert inlined == posted
 
 
 def test_conformance_kill_cell_is_byte_identical(monkeypatch):
-    def run():
-        return conformance.run_cell(phase="midcallee", primitive="dipc",
-                                    pattern="chain", seed=0)
-
-    inlined, posted = _both_ways(monkeypatch, run)
+    inlined, posted = _both_ways(monkeypatch, _conformance_kill_cell)
     cell = json.loads(inlined[0])
     assert cell["kill_events"] and cell["findings"] == []
     assert "kill_process" in inlined[1]
     assert inlined == posted
+
+
+def _composite_and_separate(monkeypatch, separate_charges, run):
+    """``(composite, separate)`` outcomes of ``run``."""
+    composite = _injection_log(monkeypatch, run)
+    separate_charges()
+    separate = _injection_log(monkeypatch, run)
+    return composite, separate
+
+
+def test_fig10_chaos_point_is_byte_identical_with_separate_charges(
+        monkeypatch, separate_charges):
+    composite, separate = _composite_and_separate(
+        monkeypatch, separate_charges, _fig10_chaos_point)
+    assert "revoke_grant" in composite[1] and "kill_process" in composite[1]
+    assert composite == separate
+
+
+def test_conformance_kill_cell_is_byte_identical_with_separate_charges(
+        monkeypatch, separate_charges):
+    composite, separate = _composite_and_separate(
+        monkeypatch, separate_charges, _conformance_kill_cell)
+    assert json.loads(composite[0])["kill_events"]
+    assert "kill_process" in composite[1]
+    assert composite == separate

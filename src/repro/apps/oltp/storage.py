@@ -7,11 +7,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.kernel.effects import Charge
 from repro.kernel.thread import Thread
 from repro.sim.stats import Block
 
 ON_DISK = "on-disk"
 IN_MEMORY = "in-memory"
+
+#: a buffer-pool hit costs nothing here (the DB CPU demand carries it),
+#: but it is still an effect boundary and one engine event
+_POOL_HIT = Charge(0.0, Block.USER)
 
 
 class Disk:
@@ -82,4 +87,4 @@ class StorageEngine:
             yield from thread.syscall(self.kernel.costs.SYSCALL_MINWORK)
             yield from self.disk.read(thread)
         # buffer-pool hit (or tmpfs): the cost is in the DB CPU demand
-        yield thread.kwork(0.0, Block.USER)
+        yield _POOL_HIT

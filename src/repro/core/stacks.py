@@ -6,11 +6,18 @@ separate per-(thread, domain) stack, located (and lazily allocated) by
 the proxy; stack *integrity* is implemented in the caller's stub by
 minting capabilities over the in-stack arguments and the unused stack
 area, revoked on return.
+
+Stacks are recycled the way NPTL caches an exited thread's stack: when
+a thread exits, each of its stacks goes to a free list of the process
+it lives in, and the next miss in that process takes one from there
+instead of mapping fresh pages. The handoff revokes the old guard
+capability (and with it everything derived from it) and mints a fresh
+one for the new owner.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.codoms.apl import Permission
@@ -55,13 +62,19 @@ class DataStack:
 
 
 class StackManager:
-    """Allocates and caches per-(thread, process-or-domain) stacks."""
+    """Allocates, caches and recycles per-(thread, process) stacks."""
 
     def __init__(self, manager):
         self.manager = manager
         self.kernel = manager.kernel
         self._stacks: Dict[Tuple[int, int], DataStack] = {}
+        #: tid -> the processes the thread holds a stack in
+        self._held: Dict[int, List[object]] = {}
+        #: pid -> stacks released by exited threads, ready for reuse
+        self._free: Dict[int, List[DataStack]] = {}
+        #: stacks mapped fresh (a reuse does not count)
         self.lazy_allocations = 0
+        self.kernel.on_process_kill(self._drop_free)
 
     def primary_stack(self, thread) -> DataStack:
         """The thread's home stack (created on first dIPC use)."""
@@ -74,15 +87,41 @@ class StackManager:
         key = (thread.tid, process.pid)
         stack = self._stacks.get(key)
         if stack is None:
-            base = process.alloc_pages(DEFAULT_STACK_PAGES)
-            stack = DataStack(base, DEFAULT_STACK_PAGES * units.PAGE_SIZE,
-                              thread)
+            free = self._free.get(process.pid) if process.alive else None
+            if free:
+                stack = free.pop()
+                stack.sp = stack.top
+                stack.owner_thread = thread
+            else:
+                # a dead process raises DeadProcessError here
+                base = process.alloc_pages(DEFAULT_STACK_PAGES)
+                stack = DataStack(base, DEFAULT_STACK_PAGES * units.PAGE_SIZE,
+                                  thread)
+                self.lazy_allocations += 1
             stack.guard_cap = mint_from_apl(
-                Permission.WRITE, base, stack.size, Permission.WRITE,
+                Permission.WRITE, stack.base, stack.size, Permission.WRITE,
                 synchronous=True, owner_thread=thread)
             self._stacks[key] = stack
-            self.lazy_allocations += 1
+            held = self._held.get(thread.tid)
+            if held is None:
+                held = self._held[thread.tid] = []
+                thread.on_exit.append(self._release)
+            held.append(process)
         return stack
+
+    def _release(self, thread) -> None:
+        """``thread.on_exit`` hook: revoke the exited thread's stacks and
+        cache them in their processes for the next thread."""
+        for process in self._held.pop(thread.tid):
+            stack = self._stacks.pop((thread.tid, process.pid))
+            stack.guard_cap.revoke()
+            stack.owner_thread = None
+            if process.alive:
+                self._free.setdefault(process.pid, []).append(stack)
+
+    def _drop_free(self, process) -> None:
+        """A killed process's cached stacks die with it."""
+        self._free.pop(process.pid, None)
 
     def mint_argument_caps(self, thread,
                            stack: DataStack,

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.kernel.effects import Charge
 from repro.sim.stats import Block
 
 CACHE_ARRAY_SLOTS = 32
@@ -50,6 +51,9 @@ class ProcessTracker:
         self.manager = manager
         self.kernel = manager.kernel
         self.upcalls = 0
+        #: the hot path's charge, built once
+        self._hot_call = Charge(self.kernel.costs.TRACK_PROCESS_CALL,
+                                Block.USER)
 
     @staticmethod
     def state_of(thread) -> TrackState:
@@ -85,7 +89,7 @@ class ProcessTracker:
                 entry = slot
         if entry is not None:
             state.hot_hits += 1
-            yield thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
+            yield self._hot_call
         elif target_tag in state.tree:
             state.warm_hits += 1
             entry = state.tree[target_tag]

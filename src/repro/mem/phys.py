@@ -1,7 +1,10 @@
 """Physical memory: a pool of 4 KiB frames with byte-level contents.
 
 Frames are reference counted so copy-on-write (fork) and shared library
-"virtual copies" (§6.1.3) can share physical pages.
+"virtual copies" (§6.1.3) can share physical pages. A frame is
+zero-filled on first touch: its bytes are allocated on the first access
+to :attr:`Frame.data`, so mapped but never-touched pages (most data
+stack pages) cost the host no buffer.
 """
 
 from __future__ import annotations
@@ -15,16 +18,23 @@ from repro.errors import ResourceError
 class Frame:
     """One 4 KiB physical frame."""
 
-    __slots__ = ("number", "data", "refcount", "cap_slots")
+    __slots__ = ("number", "_data", "refcount", "cap_slots")
 
     def __init__(self, number: int):
         self.number = number
-        self.data = bytearray(units.PAGE_SIZE)
+        self._data: Optional[bytearray] = None
         self.refcount = 1
         #: capability-storage side table: offset -> Capability. CODOMs keeps
         #: capabilities unforgeable, so they live beside the bytes; a plain
         #: byte write over a slot invalidates it (see PhysicalMemory.write).
         self.cap_slots: Dict[int, object] = {}
+
+    @property
+    def data(self) -> bytearray:
+        """The frame's bytes, zero-filled on first touch."""
+        if self._data is None:
+            self._data = bytearray(units.PAGE_SIZE)
+        return self._data
 
     def __repr__(self) -> str:
         return f"<Frame {self.number} refs={self.refcount}>"
@@ -81,6 +91,7 @@ class PhysicalMemory:
         """Deep-copy a frame (COW break). Capability slots are copied too:
         CODOMs capabilities are values, not aliases."""
         fresh = self.alloc()
-        fresh.data[:] = frame.data
+        if frame._data is not None:
+            fresh._data = bytearray(frame._data)
         fresh.cap_slots = dict(frame.cap_slots)
         return fresh

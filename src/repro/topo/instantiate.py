@@ -53,6 +53,7 @@ from repro.ipc.pipe import Pipe
 from repro.ipc.rpc import RpcClient, RpcServer
 from repro.ipc.semaphore import Semaphore
 from repro.ipc.unixsocket import SocketNamespace
+from repro.kernel.effects import Charge
 from repro.load.queueing import LOAD_SURVIVABLE, with_deadline
 from repro.load.transports import (CLIENT_PROCESS, REPLY_SIZE,
                                    SERVER_PROCESS, WORKER_PREFIX,
@@ -474,6 +475,9 @@ class TopoTransport(Transport):
         self._children = {node.id: self.spec.children(node.id)
                           for node in self.spec.nodes}
         self._nodes = {node.id: node for node in self.spec.nodes}
+        #: each node's fixed compute, built once (None when it has none)
+        self._work = {node.id: Charge(node.work_ns) if node.work_ns
+                      else None for node in self.spec.nodes}
 
     def proc_of(self, node_id: int):
         return (self.client_proc if node_id == CLIENT
@@ -580,9 +584,10 @@ class TopoTransport(Transport):
             _probe(f"serve:{node_id}:exit")
 
     def _serve_body(self, t, node_id: int, payload):
+        work = self._work[node_id]
+        if work is not None:
+            yield work
         node = self._nodes[node_id]
-        if node.work_ns:
-            yield t.compute(node.work_ns)
         children = self._children[node_id]
         if node.mode == "par" and len(children) > 1:
             yield from self._visit_par(t, node_id, children, payload)
